@@ -63,8 +63,6 @@ const (
 // at 1).
 const noProd uint64 = 0
 
-const farFuture = ^uint64(0) >> 2
-
 // Reorder-buffer entry flags, packed one byte per entry so the coherence
 // hook and the issue scan test them with a single load.
 const (
@@ -114,9 +112,9 @@ type Core struct {
 	ctx *Context
 	trc *tracing.Tracer // nil = tracing disabled (pure-observer event hooks)
 
-	// The reorder buffer is a struct-of-arrays ring: the issue scan, the
-	// NextEvent mirror, and the coherence hook walk the window every cycle
-	// touching only a few fields per entry, so each field lives in its own
+	// The reorder buffer is a struct-of-arrays ring: the generic issue
+	// walk, the NextEvent walk, the issue scheduler and the coherence hook
+	// touch only a few fields per entry, so each field lives in its own
 	// dense array (the whole state array is one cache line at window 64)
 	// instead of strided across ~100-byte records. All arrays share the
 	// ring geometry: index = seq & robMask. An entry's sequence number is
@@ -132,30 +130,32 @@ type Core struct {
 	rAddrDone  []uint64 // address-generation completion (0 = not yet)
 	rLineAddr  []uint64
 	rClass     []memsys.Class
-	// rNotBefore caches, per waiting entry, a proven lower bound on the
-	// cycle it could next make issue progress (0 = none; recheck). Bounds
-	// derive only from immutable inputs — the entry's fetchDone, and the
-	// completion times of producers that have already started executing —
-	// so they stay valid until the entry issues or is reused; rollback,
-	// which can legitimately re-time producers, clears the whole cache.
-	// Purely an issue-scan skip: hits and misses make identical decisions.
-	rNotBefore []uint64
 	robMask    uint64 // ring capacity - 1; capacity rounded to a power of two
 	headSeq    uint64 // oldest in-flight sequence number
 	tailSeq    uint64 // next sequence number to allocate
 	rename     [trace.MaxReg + 1]uint64
 	memInROB   int
-	waiting    int    // in-window entries not yet executing (issue-scan skip)
-	fenceCount int    // unretired MB/lock-acquire entries in the window
-	scanFrom   uint64 // issue-scan fast-path start (RC, no fences)
-	// issueQuiet is the whole-scan skip horizon: a cycle before which no
-	// in-window entry can issue, proven when an entire RC scan fails with
-	// every waiting entry carrying a sound not-before bound. While
-	// now < issueQuiet the issue stage is a no-op and is skipped entirely.
-	// Dispatch (new candidates), rollback, and restore clear it. Derived
-	// state: skipped scans would have made no decision, so timing and
-	// checkpoints are unchanged.
-	issueQuiet uint64
+	waiting    int // in-window entries not yet executing
+	fenceCount int // unretired MB/lock-acquire entries in the window
+
+	// Issue scheduler (sched.go): derived from the ROB, never checkpointed.
+	// Per-entry arrays share the ROB ring geometry; the bitmaps hold one bit
+	// per ring index, sWords words each.
+	schedOn    bool      // out-of-order RC: issue walks the ready set
+	sWhere     []uint8   // scheduler membership (sParked, sWheel, ...)
+	sKey       []uint64  // issue key of a timed entry
+	readyBits  []uint64  // per word, per class: entries whose issue key passed
+	wakeBits   []uint64  // per producer: consumers parked on it
+	issueWheel []uint64  // per slot: entries whose issue key is that cycle
+	doneWheel  []uint64  // per slot: entries completing that cycle (lazy)
+	issueOcc   uint64    // issueWheel slots holding entries
+	doneOcc    uint64    // doneWheel slots possibly holding entries
+	wBase      uint64    // cycle of the last promote; wheel keys lie after it
+	issueQ     schedHeap // issue key<<sShift | ring index, beyond the wheel
+	doneQ      schedHeap // completion<<sShift | ring index, beyond the wheel
+	sWords     uint64    // bitmap words per ring
+	sSpan      uint64    // ring positions per bitmap word (min(cap, 64))
+	sShift     uint      // log2 of the ring capacity
 
 	fetchQ       []fqEntry
 	fqHead       int
@@ -201,6 +201,11 @@ type Core struct {
 	// with a context scheduled: bucket 0 is an empty window, buckets 1-4
 	// the occupied quartiles. Telemetry samples interval deltas of it.
 	ROBOcc [5]uint64
+
+	// IssueExamined counts the waiting window entries the issue stage
+	// inspected: a deterministic measure of scheduler work. Like run
+	// provenance it stays out of reports, telemetry and checkpoints.
+	IssueExamined uint64
 }
 
 // New builds a core for node id using hierarchy mem and lock manager locks.
@@ -252,9 +257,9 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 	c.rAddrDone = make([]uint64, robCap)
 	c.rLineAddr = make([]uint64, robCap)
 	c.rClass = make([]memsys.Class, robCap)
-	c.rNotBefore = make([]uint64, robCap)
 	c.robMask = uint64(robCap - 1)
 	c.headSeq, c.tailSeq = 1, 1
+	c.initSched(robCap)
 	if p, ok := locks.(LockProber); ok {
 		c.prober = p
 	}
@@ -346,7 +351,7 @@ func (c *Core) SwitchTo(ctx *Context) {
 	c.resumeAt = 0
 	c.blockBranch = 0
 	c.unresolved = 0
-	c.issueQuiet = 0
+	c.resetSched()
 	c.rename = [trace.MaxReg + 1]uint64{}
 	c.mem.FlushTLBs()
 }
@@ -358,14 +363,19 @@ func (c *Core) SwitchTo(ctx *Context) {
 // transaction's conflict detection: a coherence invalidation hitting the
 // read/write set is a conflict abort, a local eviction a capacity abort.
 func (c *Core) onInvalidation(lineAddr uint64, eviction bool) {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		i := seq & c.robMask
-		if c.rFlags[i]&(fSpecLoad|fViolated) == fSpecLoad &&
-			c.rState[i] == stExec && c.rLineAddr[i] == lineAddr {
-			c.rFlags[i] |= fViolated
-			// Invalidate any cached NextEvent bound: the violation makes the
-			// rollback (and everything after it) due earlier than predicted.
-			c.poked = true
+	// Only the speculative implementation issues speculative loads, so the
+	// window walk is skipped under every other one.
+	if c.cfg.ConsistencyOpts == config.ImplSpeculative {
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			i := seq & c.robMask
+			if c.rFlags[i]&(fSpecLoad|fViolated) == fSpecLoad &&
+				c.rState[i] == stExec && c.rLineAddr[i] == lineAddr {
+				c.rFlags[i] |= fViolated
+				// Invalidate any cached NextEvent bound: the violation makes
+				// the rollback (and everything after it) due earlier than
+				// predicted.
+				c.poked = true
+			}
 		}
 	}
 	if c.ctx != nil && c.ctx.tx != nil && c.ctx.tx.OnInvalidation(lineAddr, eviction) {
@@ -389,6 +399,9 @@ func (c *Core) Tick(now uint64) {
 		return
 	}
 	c.nowCycle = now
+	if c.schedOn {
+		c.promote(now)
+	}
 	if n := c.robLen(); n == 0 {
 		c.ROBOcc[0]++
 	} else if b := (4*n + c.cfg.WindowSize - 1) / c.cfg.WindowSize; b > 4 {

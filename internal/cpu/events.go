@@ -240,11 +240,20 @@ func (c *Core) retireNextEvent(now uint64) uint64 {
 }
 
 // robNextEvent bounds the next cycle the issue stage would start any
-// instruction, mirroring issueStage's program-order walk and its
-// consistency-ordering flags. Every in-flight completion is also an event:
-// completions flip ordering flags, wake consumers, resolve branches and
-// enable retirement.
+// instruction. Every in-flight completion is also an event: completions
+// flip ordering flags, wake consumers, resolve branches and enable
+// retirement. An out-of-order RC core with no fence in flight reads the
+// bound off the issue scheduler; every other core walks the window.
 func (c *Core) robNextEvent(now uint64) uint64 {
+	if c.schedOn && c.fenceCount == 0 {
+		return c.schedNextEvent(now)
+	}
+	return c.robWalkNextEvent(now)
+}
+
+// robWalkNextEvent is robNextEvent by a program-order walk of the window
+// that mirrors the generic issue walk and its consistency-ordering flags.
+func (c *Core) robWalkNextEvent(now uint64) uint64 {
 	w := uint64(EventNever)
 	olderLoadUnperformed := false
 	olderMemUnperformed := false

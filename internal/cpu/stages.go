@@ -31,48 +31,6 @@ func (c *Core) srcsReady(i, now uint64) bool {
 	return c.prodReady(c.rProd1[i], now) && c.prodReady(c.rProd2[i], now)
 }
 
-// readyBound returns the earliest cycle entry i's fetch and source
-// operands can all be available — a lower bound proven purely from
-// immutable inputs (the entry's fetchDone and the completion times of
-// producers already executing) — plus whether a producer has not yet
-// started executing, in which case the bound is incomplete and the entry
-// must be rechecked once it passes. A producer that has not issued still
-// contributes its own cached not-before bound: the consumer cannot issue
-// before the producer does (completion never precedes issue), so a
-// dependency chain behind one long-latency miss collapses into cached
-// bounds instead of a full recheck per link per cycle. b > now || blocked
-// is equivalent to rFetchDone[i] > now || !srcsReady(i, now): a producer
-// that has left the window completed at or before the cycle it retired,
-// so it never contributes a bound, and a cached producer bound > now
-// implies that producer is not executing now.
-func (c *Core) readyBound(i uint64) (b uint64, blocked bool) {
-	b = c.rFetchDone[i]
-	head, tail, mask := c.headSeq, c.tailSeq, c.robMask
-	if p := c.rProd1[i]; p != noProd && p >= head && p < tail {
-		j := p & mask
-		if c.rState[j] != stExec {
-			blocked = true
-			if t := c.rNotBefore[j]; t > b {
-				b = t
-			}
-		} else if t := c.rComplete[j]; t > b {
-			b = t
-		}
-	}
-	if p := c.rProd2[i]; p != noProd && p >= head && p < tail {
-		j := p & mask
-		if c.rState[j] != stExec {
-			blocked = true
-			if t := c.rNotBefore[j]; t > b {
-				b = t
-			}
-		} else if t := c.rComplete[j]; t > b {
-			b = t
-		}
-	}
-	return b, blocked
-}
-
 // ---------------------------------------------------------------- fetch --
 
 func (c *Core) fetchStage(now uint64) {
@@ -164,7 +122,6 @@ func (c *Core) fetchStage(now uint64) {
 // -------------------------------------------------------------- dispatch --
 
 func (c *Core) dispatchStage(now uint64) {
-	dispatchFrom := c.tailSeq
 	for n := 0; n < c.cfg.IssueWidth; n++ {
 		if c.fqHead >= len(c.fetchQ) {
 			break
@@ -196,7 +153,6 @@ func (c *Core) dispatchStage(now uint64) {
 		c.rAddrDone[i] = 0
 		c.rLineAddr[i] = 0
 		c.rClass[i] = 0
-		c.rNotBefore[i] = 0
 		if s := fe.in.Src1; s != trace.NoReg {
 			c.rProd1[i] = c.rename[s]
 		}
@@ -224,6 +180,9 @@ func (c *Core) dispatchStage(now uint64) {
 		if c.rState[i] != stExec {
 			c.waiting++
 		}
+		if c.schedOn {
+			c.schedEnter(i)
+		}
 		if fe.mispred {
 			c.blockBranch = seq
 		}
@@ -234,23 +193,21 @@ func (c *Core) dispatchStage(now uint64) {
 		c.fetchQ = c.fetchQ[:0]
 		c.fqHead = 0
 	}
-	if c.tailSeq != dispatchFrom {
-		// New issue candidates invalidate any whole-window quiet horizon.
-		c.issueQuiet = 0
-	}
 }
 
 // ----------------------------------------------------------------- issue --
 
-// issueStage walks the window in program order, starting execution of
-// ready instructions subject to functional units, issue width, and the
-// memory consistency model. The walk maintains the ordering flags each
-// model needs, so consistency checks are O(1) per instruction.
+// issueStage starts execution of ready instructions in program order,
+// subject to functional units, issue width, and the memory consistency
+// model. On an out-of-order RC core with no fence in flight the ordering
+// flags are irrelevant and issueReady walks only the scheduler's ready
+// set; otherwise the generic walk visits the window maintaining the
+// ordering flags each model needs, so consistency checks are O(1) per
+// instruction.
 func (c *Core) issueStage(now uint64) {
 	if c.waiting == 0 {
-		// Every in-window entry is already executing: the scan would only
-		// recompute ordering flags nobody consumes. (The scanFrom cache may
-		// lag; starting the next real scan earlier changes no decision.)
+		// Every in-window entry is already executing: the walk would only
+		// recompute ordering flags nobody consumes.
 		return
 	}
 	intFree, fpFree, agFree := c.cfg.IntALUs, c.cfg.FPUs, c.cfg.AddrGenUnits
@@ -258,35 +215,24 @@ func (c *Core) issueStage(now uint64) {
 		intFree, fpFree, agFree = 1<<30, 1<<30, 1<<30
 	}
 	budget := c.cfg.IssueWidth
-	// Entries younger than the last non-executing one contribute ordering
-	// flags nobody consumes, so the scan can stop once it has visited all
-	// c.waiting of them instead of walking to the window tail.
-	remaining := c.waiting
-
-	// Fast path: under RC with no fence in flight the ordering flags are
-	// irrelevant (loads are never blocked by older accesses), so a
-	// specialized scan skips the already-executing prefix and already-
-	// executing entries without maintaining any flags. If a previous scan
-	// proved the whole window quiet until issueQuiet, skip the scan: it
-	// would examine every waiting entry only to re-fail each one.
-	if c.cfg.Consistency == config.RC && c.fenceCount == 0 {
-		if now < c.issueQuiet {
-			return
-		}
-		c.issueStageRC(now, intFree, fpFree, agFree, budget, remaining)
+	if c.schedOn && c.fenceCount == 0 {
+		c.issueReady(now, intFree, fpFree, agFree, budget)
 		return
 	}
 
+	// Entries younger than the last non-executing one contribute ordering
+	// flags nobody consumes, so the walk can stop once it has visited all
+	// c.waiting of them instead of walking to the window tail.
+	remaining := c.waiting
 	olderLoadUnperformed := false
 	olderMemUnperformed := false
 	olderFence := false // unretired MB or lock acquire ahead of this point
 
-	start := c.headSeq
-
-	for seq := start; seq < c.tailSeq && budget > 0; seq++ {
+	for seq := c.headSeq; seq < c.tailSeq && budget > 0; seq++ {
 		i := seq & c.robMask
 		if c.rState[i] != stExec {
 			remaining--
+			c.IssueExamined++
 		}
 
 		// Ordering flags are updated after the entry is considered, below.
@@ -314,9 +260,7 @@ func (c *Core) issueStage(now uint64) {
 			}
 			*free--
 			budget--
-			c.rState[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(lat)
+			c.markExec(i, now+uint64(lat))
 
 		case trace.OpBranch, trace.OpJump, trace.OpCall, trace.OpReturn:
 			if c.rState[i] == stExec {
@@ -330,9 +274,7 @@ func (c *Core) issueStage(now uint64) {
 			}
 			intFree--
 			budget--
-			c.rState[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(c.cfg.IntLatency)
+			c.markExec(i, now+uint64(c.cfg.IntLatency))
 
 		case trace.OpLoad:
 			done := c.issueLoad(i, now, &agFree, &budget,
@@ -362,19 +304,11 @@ func (c *Core) issueStage(now uint64) {
 				}
 				agFree--
 				budget--
-				c.rAddrDone[i] = now + 1
+				c.setAddrDone(i, now+1)
 				break
 			}
 			if c.rAddrDone[i] <= now {
-				c.rState[i] = stExec
-				c.waiting--
-				c.rComplete[i] = c.rAddrDone[i]
-				if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
-					// Hardware prefetch from the window: request ownership
-					// early for stores blocked by consistency/retirement.
-					c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
-					c.rFlags[i] |= fPrefetch
-				}
+				c.execStore(i, now)
 			}
 
 		default:
@@ -399,262 +333,112 @@ func (c *Core) issueStage(now uint64) {
 			break
 		}
 	}
-
-	// Advance the fast-path scan start past the fully executing prefix.
-	if c.scanFrom < c.headSeq {
-		c.scanFrom = c.headSeq
-	}
-	for c.scanFrom < c.tailSeq && c.rState[c.scanFrom&c.robMask] == stExec {
-		c.scanFrom++
-	}
 }
 
-// issueStageRC is the issue scan specialized for RC with no fence in
-// flight: ordering flags are irrelevant, so already-executing entries are
-// skipped with a single state check and loads issue with all ordering
-// restrictions clear. Waiting entries carry a cached not-before bound
-// (rNotBefore) so an entry blocked on a long-latency producer costs one
-// compare per scan instead of a full readiness check. Decisions are
-// identical to the generic scan — only the per-entry bookkeeping is
-// cheaper.
-//
-// The scan additionally tracks whether every failure this cycle came with
-// a sound not-before bound (as opposed to a functional-unit or issue-width
-// limit, which any cycle can lift). If so, the minimum such bound is a
-// cycle before which the whole window provably cannot issue, and it is
-// published as c.issueQuiet so issueStage skips the scan outright until
-// then. In-order cores stop at the first non-issuing entry, so its bound
-// alone is the horizon. Dispatching a new entry clears the horizon.
-func (c *Core) issueStageRC(now uint64, intFree, fpFree, agFree, budget, remaining int) {
-	start := c.headSeq
-	if c.scanFrom > start {
-		start = c.scanFrom
-	}
-	inOrder := c.cfg.InOrder
-	st, nb, mask := c.rState, c.rNotBefore, c.robMask
-	minB := ^uint64(0) // min sound bound over all failed entries
-	bounded := true    // every failure so far carried a bound
-	for seq := start; seq < c.tailSeq && budget > 0 && remaining > 0; seq++ {
-		i := seq & mask
-		if st[i] == stExec {
-			continue
+// issueReady is the issue stage of an out-of-order core under RC with no
+// fence in flight. Loads are never blocked by older accesses, so only
+// entries whose issue key has passed can act: the walk visits the ready
+// set oldest-first, skipping the classes whose functional units this
+// cycle has used up. Decisions (and so every memory access, in order) are
+// identical to the generic walk's.
+func (c *Core) issueReady(now uint64, intFree, fpFree, agFree, budget int) {
+	// cm masks out the classes whose units this cycle has used up.
+	cm := [nClasses]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	for seq := c.headSeq; budget > 0; seq++ {
+		var ok bool
+		if seq, ok = c.nextReady(seq, c.tailSeq, &cm); !ok {
+			return
 		}
-		remaining--
-		if nb[i] > now {
-			// Proven unable to make progress yet (operands, fetch, or a
-			// pending address still in flight). Cached bounds are only ever
-			// written where the full check's failure would have hit the
-			// same in-order stop below.
-			if nb[i] < minB {
-				minB = nb[i]
-			}
-			if inOrder {
-				c.issueQuiet = minB
-				return
-			}
-			continue
-		}
-		switch c.rOp[i] {
-		case trace.OpIntALU, trace.OpFPALU:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
-				continue
-			}
-			lat, free := c.cfg.IntLatency, &intFree
-			if c.rOp[i] == trace.OpFPALU {
-				lat, free = c.cfg.FPLatency, &fpFree
+		i := seq & c.robMask
+		c.IssueExamined++
+		switch op := c.rOp[i]; op {
+		case trace.OpIntALU, trace.OpFPALU, trace.OpBranch, trace.OpJump, trace.OpCall, trace.OpReturn:
+			lat, free, cls := c.cfg.IntLatency, &intFree, clsInt
+			if op == trace.OpFPALU {
+				lat, free, cls = c.cfg.FPLatency, &fpFree, clsFP
 			}
 			if *free == 0 {
-				bounded = false
-				if inOrder {
-					return
-				}
 				continue
 			}
 			*free--
 			budget--
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(lat)
-
-		case trace.OpBranch, trace.OpJump, trace.OpCall, trace.OpReturn:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
-				continue
+			c.markExec(i, now+uint64(lat))
+			if *free == 0 {
+				cm[cls] = 0
 			}
-			if intFree == 0 {
-				bounded = false
-				if inOrder {
-					return
-				}
-				continue
-			}
-			intFree--
-			budget--
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(c.cfg.IntLatency)
 
 		case trace.OpLoad:
-			// Mirrors issueLoad under RC with no fence in flight: the
-			// consistency decision is always "allowed", and an issued load
-			// is stExec (skipped above).
 			if c.rAddrDone[i] == 0 {
-				b, blocked := c.readyBound(i)
-				if b > now || blocked {
-					if b > now {
-						nb[i] = b
-						if b < minB {
-							minB = b
-						}
-						if inOrder {
-							c.issueQuiet = minB
-							return
-						}
-					} else {
-						bounded = false
-						if inOrder {
-							return
-						}
-					}
-					continue
-				}
 				if agFree == 0 {
-					bounded = false
-					if inOrder {
-						return
-					}
 					continue
 				}
 				agFree--
 				budget--
-				c.rAddrDone[i] = now + 1
-				// Address generation is in flight; the entry becomes a
-				// memory-issue candidate next cycle, bounding the horizon.
-				if now+1 < minB {
-					minB = now + 1
+				c.setAddrDone(i, now+1)
+				if agFree == 0 {
+					cm[clsAG] = 0
 				}
 				continue
 			}
-			if c.rAddrDone[i] > now {
-				nb[i] = c.rAddrDone[i]
-				if c.rAddrDone[i] < minB {
-					minB = c.rAddrDone[i]
-				}
-				if inOrder {
-					c.issueQuiet = minB
-					return
-				}
-				continue
-			}
-			if c.cfg.DebugChecks {
-				c.dbgCheckLoadBind(now, c.rIn[i].PC)
-			}
-			res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-			c.rFlags[i] |= fIssuedMem
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = res.Done
-			c.rClass[i] = res.Class
-			if res.TLBMiss {
-				c.rFlags[i] |= fTLBMiss
-			}
-			c.rLineAddr[i] = res.LineAddr
-			if c.ctx.tx != nil {
-				c.trackRead(res.LineAddr)
-			}
+			// The address is ready and no fence is in flight: the access
+			// is always allowed under RC.
+			c.readMem(i, now, false)
 
 		case trace.OpStore:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
+			// The operands are rechecked: the second phase is keyed on the
+			// address alone, like the generic walk's store case.
+			if c.rFetchDone[i] > now || !c.srcsReady(i, now) {
 				continue
 			}
 			if c.rAddrDone[i] == 0 {
 				if agFree == 0 {
-					bounded = false
-					if inOrder {
-						return
-					}
 					continue
 				}
 				agFree--
 				budget--
-				c.rAddrDone[i] = now + 1
-				if now+1 < minB {
-					minB = now + 1
+				c.setAddrDone(i, now+1)
+				if agFree == 0 {
+					cm[clsAG] = 0
 				}
 				continue
 			}
-			if c.rAddrDone[i] <= now {
-				st[i] = stExec
-				c.waiting--
-				c.rComplete[i] = c.rAddrDone[i]
-				if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
-					c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
-					c.rFlags[i] |= fPrefetch
-				}
-			} else if c.rAddrDone[i] < minB {
-				// Pending store address: a sound bound for the horizon, but
-				// deliberately not cached in rNotBefore and no in-order stop
-				// (the generic scan lets younger entries proceed past it).
-				minB = c.rAddrDone[i]
-			}
+			c.execStore(i, now)
 		}
 	}
+}
 
-	// remaining > 0 means issue width ran out with waiting entries never
-	// examined — no claim about them is possible.
-	if bounded && remaining == 0 && minB > now && minB != ^uint64(0) {
-		c.issueQuiet = minB
+// execStore completes a store's execution once its address is ready
+// (rAddrDone <= now); the memory access happens at retirement.
+func (c *Core) execStore(i, now uint64) {
+	c.markExec(i, c.rAddrDone[i])
+	if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
+		// Hardware prefetch from the window: request ownership early for
+		// stores blocked by consistency/retirement.
+		c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
+		c.rFlags[i] |= fPrefetch
 	}
+}
 
-	if c.scanFrom < c.headSeq {
-		c.scanFrom = c.headSeq
+// readMem performs a load's cache access (its second phase) at cycle now;
+// spec marks a load issued past an ordering constraint.
+func (c *Core) readMem(i, now uint64, spec bool) {
+	if c.cfg.DebugChecks && !spec {
+		c.dbgCheckLoadBind(now, c.rIn[i].PC)
 	}
-	for c.scanFrom < c.tailSeq && st[c.scanFrom&mask] == stExec {
-		c.scanFrom++
+	res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
+	c.rFlags[i] |= fIssuedMem
+	c.rClass[i] = res.Class
+	if res.TLBMiss {
+		c.rFlags[i] |= fTLBMiss
+	}
+	c.rLineAddr[i] = res.LineAddr // physical, as delivered by invalidation hooks
+	if spec {
+		c.rFlags[i] |= fSpecLoad
+		c.SpecLoads++
+	}
+	c.markExec(i, res.Done)
+	if c.ctx.tx != nil {
+		c.trackRead(res.LineAddr)
 	}
 }
 
@@ -676,7 +460,7 @@ func (c *Core) issueLoad(i, now uint64, agFree, budget *int,
 		}
 		*agFree--
 		*budget--
-		c.rAddrDone[i] = now + 1
+		c.setAddrDone(i, now+1)
 		return true
 	}
 	if c.rAddrDone[i] > now {
@@ -707,26 +491,7 @@ func (c *Core) issueLoad(i, now uint64, agFree, budget *int,
 			spec = true
 		}
 	}
-	if c.cfg.DebugChecks && !spec {
-		c.dbgCheckLoadBind(now, c.rIn[i].PC)
-	}
-	res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-	c.rFlags[i] |= fIssuedMem
-	c.rState[i] = stExec
-	c.waiting--
-	c.rComplete[i] = res.Done
-	c.rClass[i] = res.Class
-	if res.TLBMiss {
-		c.rFlags[i] |= fTLBMiss
-	}
-	c.rLineAddr[i] = res.LineAddr // physical, as delivered by invalidation hooks
-	if spec {
-		c.rFlags[i] |= fSpecLoad
-		c.SpecLoads++
-	}
-	if c.ctx.tx != nil {
-		c.trackRead(res.LineAddr)
-	}
+	c.readMem(i, now, spec)
 	return true
 }
 
@@ -742,7 +507,12 @@ func (c *Core) retireStage(now uint64) {
 	for retired < width && c.robLen() > 0 {
 		seq := c.headSeq
 		i := seq & c.robMask
+		done := c.rComplete[i]
 		ok, cat := c.tryRetire(i, now)
+		if c.rState[i] == stExec && c.rComplete[i] != done {
+			// A lock operation or SC store performed at the head.
+			c.retimed(seq)
+		}
 		if !ok {
 			stallCat, stalled = cat, true
 			break
@@ -769,6 +539,11 @@ func (c *Core) retireStage(now uint64) {
 		}
 		c.headSeq++
 		retired++
+		if c.rComplete[i] > now {
+			// A barrier retiring before its (re-fetch) completion: its
+			// consumers now treat it as retired.
+			c.retimed(seq)
+		}
 	}
 	c.Bk[stats.Busy] += float64(retired) / float64(width)
 	if retired == width {
@@ -948,10 +723,6 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 // recovery mechanism is the one used for branch mispredictions).
 func (c *Core) rollback(fromSeq, now uint64) {
 	c.Rollbacks++
-	if c.scanFrom > fromSeq {
-		c.scanFrom = fromSeq
-	}
-	c.issueQuiet = 0
 	width := uint64(c.cfg.IssueWidth)
 	for seq := fromSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
@@ -964,11 +735,6 @@ func (c *Core) rollback(fromSeq, now uint64) {
 		c.rAddrDone[i] = 0
 		c.rLineAddr[i] = 0
 		c.rClass[i] = 0
-		// The squash re-times this entry, so its cached issue bound is
-		// stale. Unsquashed entries are unaffected: a consumer is never
-		// older than its producer, so none of them consumes a squashed
-		// entry's completion time.
-		c.rNotBefore[i] = 0
 		switch c.rOp[i] {
 		case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
 			trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
@@ -979,6 +745,10 @@ func (c *Core) rollback(fromSeq, now uint64) {
 			c.waiting++
 		}
 	}
+	// Unsquashed entries keep their schedule: a consumer is never older
+	// than its producer, so none of them consumes a squashed entry's
+	// completion time.
+	c.schedSquashed(fromSeq)
 }
 
 // ---------------------------------------------------------- write buffer --
