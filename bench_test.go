@@ -85,44 +85,3 @@ func BenchmarkSimulatorDSS(b *testing.B) {
 	}
 	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "sim_Minstr/s")
 }
-
-// The Parallel arms run the same configurations through the epoch-parallel
-// engine (SimThreads = 4, clamped to GOMAXPROCS by the pool). Results are
-// bit-identical to the serial arms — the SimThreads identity tests assert
-// it — so any throughput difference is pure engine overhead or speedup.
-// On a single-CPU host the pool clamps to one worker and this measures the
-// engine's dispatch overhead over the serial span loop.
-
-// BenchmarkSimulatorOLTPParallel is BenchmarkSimulatorOLTP under the
-// epoch-parallel engine.
-func BenchmarkSimulatorOLTPParallel(b *testing.B) {
-	b.ReportAllocs()
-	sc := QuickScale
-	sc.SimThreads = 4
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := RunOLTP(DefaultConfig(), sc, "bench", HintNone)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr += rep.Instructions
-	}
-	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "sim_Minstr/s")
-}
-
-// BenchmarkSimulatorDSSParallel is BenchmarkSimulatorDSS under the
-// epoch-parallel engine.
-func BenchmarkSimulatorDSSParallel(b *testing.B) {
-	b.ReportAllocs()
-	sc := QuickScale
-	sc.SimThreads = 4
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := RunDSS(DefaultConfig(), sc, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr += rep.Instructions
-	}
-	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "sim_Minstr/s")
-}

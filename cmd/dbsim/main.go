@@ -102,8 +102,6 @@ func main() {
 		telHTTP     = flag.String("telemetry-http", "", "serve live Prometheus metrics on this address (e.g. :9090)")
 		telInterval = flag.Uint64("telemetry-interval", 0, "telemetry sampling interval in cycles (0 = config default, 100k)")
 
-		simThreads = flag.Int("sim-threads", 1, "worker goroutines for quiet-span fan-out inside the simulation (1 = serial engine; any value is bit-identical)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 
@@ -204,9 +202,6 @@ func main() {
 		defer cancel()
 	}
 
-	if *simThreads < 1 {
-		fatalUsage("-sim-threads must be >= 1")
-	}
 	sc := experiments.Scale{
 		OLTPTransactions: *tx,
 		OLTPWarmupTx:     *warmupTx,
@@ -215,7 +210,6 @@ func main() {
 		Context:          ctx,
 		WatchdogWindow:   *watchdog,
 		DisableWatchdog:  *noWatchdog,
-		SimThreads:       *simThreads,
 	}
 	if pipe != nil {
 		sc.Telemetry = func(string) *telemetry.Pipeline { return pipe }

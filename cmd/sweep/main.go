@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -108,7 +107,6 @@ func main() {
 		spanLogPath = flag.String("span-log", "", "with -remote: append the client's job span to this JSONL span log (stitch with sweeptrace)")
 
 		parallel     = flag.Int("parallel", 1, "worker pool size (points run concurrently; outcomes stay deterministic)")
-		simThreads   = flag.Int("sim-threads", 1, "worker goroutines per simulation for quiet-span fan-out (bit-identical to 1; clamped when parallel x sim-threads exceeds GOMAXPROCS)")
 		serial       = flag.Bool("serial", false, "run each figure's simulations serially (default: a per-figure pool of up to GOMAXPROCS workers)")
 		journalPath  = flag.String("journal", "", "durable JSONL run journal, appended as each point completes")
 		resume       = flag.Bool("resume", false, "skip points with a terminal record in -journal")
@@ -185,30 +183,7 @@ func main() {
 	if *parallel < 1 {
 		fatalUsage("-parallel must be >= 1")
 	}
-	if *simThreads < 1 {
-		fatalUsage("-sim-threads must be >= 1")
-	}
-	sc.SimThreads = *simThreads
 	sc.Logger = logger
-	// Oversubscription guard at the sweep level: the worker pool runs
-	// -parallel points at once and each would spawn -sim-threads span
-	// workers. Beyond GOMAXPROCS that only adds scheduler churn, so clamp
-	// the per-point threads here (figure-internal parallelism is guarded
-	// again in experiments.runPoints). Results are bit-identical either way.
-	if *simThreads > 1 {
-		if gmp := runtime.GOMAXPROCS(0); *parallel**simThreads > gmp {
-			clamped := gmp / *parallel
-			if clamped < 1 {
-				clamped = 1
-			}
-			logger.Warn("sim-threads oversubscribed; clamping per-point threads",
-				"parallel", *parallel,
-				"sim_threads", *simThreads,
-				"gomaxprocs", gmp,
-				"sim_threads_clamped", clamped)
-			sc.SimThreads = clamped
-		}
-	}
 
 	// Select the experiments to run. fig1 is a parameter table, not a
 	// simulation, so it prints directly and never enters the pool.

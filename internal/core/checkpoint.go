@@ -195,6 +195,7 @@ type MachineState struct {
 // machineState assembles the checkpoint image of the running system.
 func (s *System) machineState(warmed bool, lastRetired, lastProgress uint64,
 	tel *telemetryState, tracer *tracing.Tracer, wl WorkloadCheckpointer) (*MachineState, error) {
+	s.settleAll() // the image holds no deferred cycles
 	wb, err := wl.SnapshotWorkload()
 	if err != nil {
 		return nil, err

@@ -263,16 +263,6 @@ type RunOptions struct {
 	// cycles the full dynamic machine state is written atomically to
 	// Path. See CheckpointOptions and RestoreAndRun.
 	Checkpoint *CheckpointOptions
-	// SimThreads sets how many worker goroutines the run loop may use to
-	// apply machine-wide quiet fast-forward spans across cores
-	// concurrently (see parallel.go). 0 or 1 is the serial engine,
-	// verbatim. Results are bit-identical for every value: parallel work
-	// is restricted to per-core state over spans proven free of
-	// cross-core coupling, joined at a deterministic barrier before the
-	// serial cycle loop resumes. The fan-out is disabled while a Tracer
-	// is attached (its event ring is shared across cores and append order
-	// is part of the output).
-	SimThreads int
 }
 
 // DefaultWatchdogWindow is the default forward-progress window in cycles.
@@ -390,22 +380,24 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		// still well-formed.
 		defer func() { opt.Tracer.Finish(s.cycle) }()
 	}
-	var pool *ffPool
-	if opt.SimThreads > 1 && opt.Tracer == nil {
-		pool = newFFPool(s, opt.SimThreads)
-		defer pool.close()
-	}
 	prevRet := lastRetired
 	// Per-core steady-cycle skip: wake[i] is a cached bound below which core
-	// i provably repeats the same retire-free cycle, so its Tick can be
-	// replaced by the O(1) single-cycle FastForward. The bound is computed
-	// only on retire-free ticks (on busy cores the bookkeeping would be pure
-	// overhead) and is invalidated by the two cross-core channels that can
-	// make a core's next interesting cycle earlier than predicted: a line
-	// invalidation marking one of its speculative loads violated (TakePoked)
-	// and any lock release (LockTable.gen). Everything else that times a
-	// core — its own pipeline, its own scheduler queue, fixed memory
-	// latencies — is already folded into NextEvent.
+	// i provably repeats the same retire-free cycle, so its Tick is skipped
+	// and the cycle only recorded as owed (cpu.Core.Defer); settle applies
+	// the owed bookkeeping in bulk when something next acts on or reads the
+	// core. The bound is computed only on retire-free ticks (on busy cores
+	// the bookkeeping would be pure overhead) and is invalidated by the two
+	// cross-core channels that can make a core's next interesting cycle
+	// earlier than predicted: a line invalidation marking one of its
+	// speculative loads violated (TakePoked) and any lock release
+	// (LockTable.gen). Everything else that times a core — its own
+	// pipeline, its own scheduler queue, fixed memory latencies — is
+	// already folded into NextEvent.
+	//
+	// With a tracer attached every skipped cycle is settled at once: the
+	// order in which stall spans reach the tracer's shared ring is part of
+	// the exported trace.
+	eager := opt.Tracer != nil
 	wake := make([]uint64, len(s.cores))
 	coreRet := make([]uint64, len(s.cores))
 	for i, c := range s.cores {
@@ -426,9 +418,12 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 				}
 			}
 			if !opt.DisableFastForward && wake[i] > s.cycle && !c.TakePoked() {
-				s.sch.FastForward(i, c, s.cycle, s.cycle)
-				c.FastForward(s.cycle, s.cycle)
+				c.Defer(s.cycle, s.cycle)
+				if eager {
+					s.settle(i)
+				}
 			} else {
+				s.settle(i)
 				s.sch.Tick(i, c, s.cycle)
 				c.Tick(s.cycle)
 				if rr := c.Retired; rr != coreRet[i] {
@@ -516,7 +511,7 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 					wake[k] = 0
 				}
 			} else {
-				s.fastForward(&opt, window, lastProgress, tel, wake, ckInterval, pool)
+				s.fastForward(&opt, window, lastProgress, tel, wake, ckInterval, eager)
 			}
 		}
 		prevRet = ret
@@ -530,12 +525,13 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 
 // fastForward jumps s.cycle to just before the machine-wide next event
 // when every component proves the intervening cycles are steady (constant
-// per-cycle bookkeeping, zero state mutation), bulk-applying that
-// bookkeeping so the run is bit-identical to ticking every cycle. The jump
-// is also capped so that every externally timed check in Run — telemetry
-// sample boundaries, the watchdog trip, the MaxCycles trip, the context
-// poll cadence — still happens on exactly the cycle it would have.
-func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64, pool *ffPool) {
+// per-cycle bookkeeping, zero state mutation), deferring that bookkeeping
+// to each core's next settle so the run is bit-identical to ticking every
+// cycle. The jump is also capped so that every externally timed check in
+// Run — telemetry sample boundaries, the watchdog trip, the MaxCycles
+// trip, the context poll cadence — still happens on exactly the cycle it
+// would have.
+func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64, eager bool) {
 	now := s.cycle
 	limit := uint64(cpu.EventNever)
 	// On a machine-wide retire-free cycle every core either skipped (its
@@ -599,18 +595,33 @@ func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *
 	// Cycles now+1 .. limit-1 are steady; cycle limit is ticked normally by
 	// the next loop iteration (it may retire, sample, trip a check, ...).
 	from, to := now+1, limit-1
-	if pool != nil && to-from >= minParallelSpan {
-		// Epoch-parallel application: the span is proven quiet for every
-		// core, so the per-core bulk accounting fans out to the worker
-		// pool and joins at the barrier (bit-identical by construction).
-		pool.span(from, to)
-	} else {
-		for i, c := range s.cores {
-			s.sch.FastForward(i, c, from, to)
-			c.FastForward(from, to)
+	for i, c := range s.cores {
+		c.Defer(from, to)
+		if eager {
+			s.settle(i)
 		}
 	}
 	s.cycle = to
+}
+
+// settle applies core i's deferred skipped-cycle bookkeeping, on the core
+// and on its scheduler slot. Exactly one of the two accrues anything: the
+// core while a process is installed, the slot while none is, and neither
+// changes during a skip.
+func (s *System) settle(i int) {
+	c := s.cores[i]
+	if from, to, ok := c.Settle(); ok {
+		s.sch.FastForward(i, c, from, to)
+	}
+}
+
+// settleAll brings every core's counters up to date: it runs before
+// anything reads them (telemetry samples, the warm-up reset, checkpoint
+// capture, the report).
+func (s *System) settleAll() {
+	for i := range s.cores {
+		s.settle(i)
+	}
 }
 
 // recoverPanic converts a recovered panic into a *diag.PanicError. The
@@ -700,6 +711,7 @@ func (s *System) totalRetired() uint64 {
 
 // ResetStats discards statistics accumulated so far (used for warm-up).
 func (s *System) ResetStats() {
+	s.settleAll()
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -711,6 +723,7 @@ func (s *System) ResetStats() {
 
 // buildReport aggregates machine-wide statistics.
 func (s *System) buildReport(label string) *stats.Report {
+	s.settleAll()
 	r := &stats.Report{Label: label, Cycles: s.cycle - s.statsStart}
 
 	var condBr, condMis uint64

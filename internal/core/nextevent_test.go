@@ -1,73 +1,150 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// TestNextEventConservatismStress is the white-box guarantee behind both
-// the idle-cycle skip and the epoch-parallel engine: a per-core bound
-// computed on a retire-free tick must never be late. The test runs
-// randomized machines over lock-heavy shared-memory streams, ticking
-// EVERY cycle, but carries cached bounds exactly as the production loop
-// would — consuming the same invalidation channels (TakePoked, the lock
-// table's release generation) — and fails if a core retires an
-// instruction or switches context at a cycle an active bound claimed was
-// quiet. A failure here means FastForward would have skipped real work
-// and the skip/parallel engines would diverge from serial.
+// TestNextEventConservatismStress is the white-box guarantee behind the
+// idle-cycle skip: a per-core bound computed on a retire-free tick must
+// never be late. The test runs randomized machines over lock-heavy
+// shared-memory streams, ticking EVERY cycle, but carries cached bounds
+// exactly as the production loop would — consuming the same invalidation
+// channels (TakePoked, the lock table's release generation) — and fails if
+// a core retires an instruction or switches context at a cycle an active
+// bound claimed was quiet. A failure here means the run loop would have
+// skipped real work and diverged from ticking every cycle.
 //
 // Early (conservative) bounds are always legal; only late ones are bugs.
 func TestNextEventConservatismStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260808))
-	const trials = 10
-	for trial := 0; trial < trials; trial++ {
-		cfg := config.Default()
-		cfg.Nodes = []int{1, 2, 4, 4}[rng.Intn(4)]
-		cfg.InOrder = rng.Intn(4) == 0
-		cfg.IssueWidth = []int{2, 4}[rng.Intn(2)]
-		cfg.WindowSize = []int{16, 32, 64}[rng.Intn(3)]
-		cfg.Consistency = []config.ConsistencyModel{config.RC, config.PC, config.SC}[rng.Intn(3)]
-		cfg.ConsistencyOpts = []config.ConsistencyImpl{
-			config.ImplPlain, config.ImplPrefetch, config.ImplSpeculative,
-		}[rng.Intn(3)]
-		cfg.LatchPolicy = []config.LatchPolicy{
-			config.LatchPlain, config.LatchHints, config.LatchHTM,
-		}[rng.Intn(3)]
-		cfg.StreamBufEntries = []int{0, 2}[rng.Intn(2)]
-		cfg.L1D.MSHRs = []int{2, 8}[rng.Intn(2)]
-		if rng.Intn(3) == 0 {
-			cfg.Faults = config.FaultConfig{
-				Enabled:        true,
-				Seed:           rng.Uint64(),
-				MeshDelayProb:  0.05,
-				MeshDelayMax:   30,
-				NACKProb:       0.02,
-				NACKMaxRetries: 3,
-				NACKBackoff:    15,
-				MemStallProb:   0.05,
-				MemStallCycles: 40,
-			}
-		}
-		t.Logf("trial %d: nodes=%d inorder=%v width=%d window=%d %v/%v latch=%v sbuf=%d mshrs=%d faults=%v",
-			trial, cfg.Nodes, cfg.InOrder, cfg.IssueWidth, cfg.WindowSize,
-			cfg.Consistency, cfg.ConsistencyOpts, cfg.LatchPolicy,
-			cfg.StreamBufEntries, cfg.L1D.MSHRs, cfg.Faults.Enabled)
-
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Two processes per core so the scheduler's switch/unblock timing is
-		// exercised (syscalls in the streams force blocking and wakeups).
-		for n := 0; n < cfg.Nodes; n++ {
-			sys.AddProcess(n, stressStream(rng, 120, uint64(n)))
-			sys.AddProcess(n, stressStream(rng, 120, uint64(n+cfg.Nodes)))
-		}
+	rng := rand.New(rand.NewSource(stressSeed))
+	for trial := 0; trial < stressTrials; trial++ {
+		cfg, streams := stressMachine(t, rng, trial)
+		sys := newStressSystem(t, cfg, streams)
 		runConservatismLoop(t, sys, trial)
 	}
+}
+
+// TestFastForwardReportIdentity extends the run-level byte-identity
+// contract beyond config.Default(): every randomized machine of the stress
+// suite (SC/PC/RC × plain/prefetch/speculative × plain/hints/htm, in-order
+// cores, faults) runs through System.Run with fast-forward on and off,
+// across a warm-up reset and frequent telemetry samples, and must produce
+// the same Report JSON and telemetry bytes. Speculative-load pokes and
+// HTM aborts settle a core's skipped cycles from inside another core's
+// tick; this is where those settles are checked.
+func TestFastForwardReportIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(stressSeed))
+	for trial := 0; trial < stressTrials; trial++ {
+		cfg, streams := stressMachine(t, rng, trial)
+		on := reportBytes(t, newStressSystem(t, cfg, streams), false)
+		off := reportBytes(t, newStressSystem(t, cfg, streams), true)
+		if !bytes.Equal(on, off) {
+			onL, offL := bytes.Split(on, []byte("\n")), bytes.Split(off, []byte("\n"))
+			i := 0
+			for i < len(onL)-1 && i < len(offL)-1 && bytes.Equal(onL[i], offL[i]) {
+				i++
+			}
+			t.Errorf("trial %d: fast-forward changed output line %d:\nff-on  %s\nff-off %s", trial, i, onL[i], offL[i])
+		}
+	}
+}
+
+const (
+	stressSeed   = 20260808
+	stressTrials = 10
+)
+
+// stressMachine draws one randomized machine: its config and two streams
+// per core, processes 2n and 2n+1 pinned to core n.
+func stressMachine(t *testing.T, rng *rand.Rand, trial int) (config.Config, [][]trace.Instr) {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Nodes = []int{1, 2, 4, 4}[rng.Intn(4)]
+	cfg.InOrder = rng.Intn(4) == 0
+	cfg.IssueWidth = []int{2, 4}[rng.Intn(2)]
+	cfg.WindowSize = []int{16, 32, 64}[rng.Intn(3)]
+	cfg.Consistency = []config.ConsistencyModel{config.RC, config.PC, config.SC}[rng.Intn(3)]
+	cfg.ConsistencyOpts = []config.ConsistencyImpl{
+		config.ImplPlain, config.ImplPrefetch, config.ImplSpeculative,
+	}[rng.Intn(3)]
+	cfg.LatchPolicy = []config.LatchPolicy{
+		config.LatchPlain, config.LatchHints, config.LatchHTM,
+	}[rng.Intn(3)]
+	cfg.StreamBufEntries = []int{0, 2}[rng.Intn(2)]
+	cfg.L1D.MSHRs = []int{2, 8}[rng.Intn(2)]
+	if rng.Intn(3) == 0 {
+		cfg.Faults = config.FaultConfig{
+			Enabled:        true,
+			Seed:           rng.Uint64(),
+			MeshDelayProb:  0.05,
+			MeshDelayMax:   30,
+			NACKProb:       0.02,
+			NACKMaxRetries: 3,
+			NACKBackoff:    15,
+			MemStallProb:   0.05,
+			MemStallCycles: 40,
+		}
+	}
+	t.Logf("trial %d: nodes=%d inorder=%v width=%d window=%d %v/%v latch=%v sbuf=%d mshrs=%d faults=%v",
+		trial, cfg.Nodes, cfg.InOrder, cfg.IssueWidth, cfg.WindowSize,
+		cfg.Consistency, cfg.ConsistencyOpts, cfg.LatchPolicy,
+		cfg.StreamBufEntries, cfg.L1D.MSHRs, cfg.Faults.Enabled)
+	// Two processes per core so the scheduler's switch/unblock timing is
+	// exercised (syscalls in the streams force blocking and wakeups).
+	var streams [][]trace.Instr
+	for n := 0; n < cfg.Nodes; n++ {
+		streams = append(streams,
+			stressStream(rng, 120, uint64(n)),
+			stressStream(rng, 120, uint64(n+cfg.Nodes)))
+	}
+	return cfg, streams
+}
+
+// newStressSystem builds cfg's machine running streams.
+func newStressSystem(t *testing.T, cfg config.Config, streams [][]trace.Instr) *System {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, ins := range streams {
+		sys.AddProcess(p/2, trace.NewSliceStream(ins))
+	}
+	return sys
+}
+
+// reportBytes runs sys to completion and returns its Report JSON followed
+// by its telemetry samples, one JSON line each.
+func reportBytes(t *testing.T, sys *System, disableFF bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	pipe := telemetry.New(5_000)
+	pipe.Attach(telemetry.FuncSink(func(s *telemetry.Sample) error { return enc.Encode(s) }), nil)
+	rep, err := sys.Run(RunOptions{
+		Label:              "ff-report-identity",
+		WarmupInstructions: 500,
+		MaxCycles:          3_000_000,
+		Telemetry:          pipe,
+		DisableFastForward: disableFF,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(rep); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // stressStream mixes every cross-core coupling the bounds must account
@@ -75,7 +152,7 @@ func TestNextEventConservatismStress(t *testing.T) {
 // ImplSpeculative, pokes), a contended lock critical section (release
 // generation), private pointer walks (cache misses with long fixed
 // latencies), FP work, and blocking syscalls (scheduler switches).
-func stressStream(rng *rand.Rand, iters int, id uint64) *trace.SliceStream {
+func stressStream(rng *rand.Rand, iters int, id uint64) []trace.Instr {
 	var ins []trace.Instr
 	const loopPC = uint64(0x30000)
 	const shared = uint64(0xA00000) // region all processes hit
@@ -119,7 +196,7 @@ func stressStream(rng *rand.Rand, iters int, id uint64) *trace.SliceStream {
 			Op: trace.OpBranch, PC: pc, Src1: 1, Taken: i < iters-1, Target: loopPC,
 		})
 	}
-	return trace.NewSliceStream(ins)
+	return ins
 }
 
 // runConservatismLoop drives the machine one cycle at a time, carrying

@@ -205,6 +205,7 @@ func dsub(cur, prev uint64) uint64 {
 
 // sample publishes the interval since the previous snapshot.
 func (ts *telemetryState) sample(s *System) {
+	s.settleAll()
 	cur := s.telemetrySnapshot(&ts.scratch)
 	prev := &ts.prev
 	cycles := dsub(cur.cycle, prev.cycle)

@@ -170,6 +170,8 @@ type Core struct {
 	streamEnded  bool
 	stallInstr   bool        // last fetch stall was the icache/iTLB
 	poked        bool        // async wake: a line invalidation marked a violation
+	owedFrom     uint64      // first skipped cycle not yet settled (0 = none owed)
+	owedTo       uint64      // last skipped cycle not yet settled
 	inScratch    trace.Instr // fetch-loop decode buffer (kept off the heap's per-call path)
 
 	wbuf   []wbufEntry
@@ -202,10 +204,15 @@ type Core struct {
 	// the occupied quartiles. Telemetry samples interval deltas of it.
 	ROBOcc [5]uint64
 
-	// IssueExamined counts the waiting window entries the issue stage
-	// inspected: a deterministic measure of scheduler work. Like run
-	// provenance it stays out of reports, telemetry and checkpoints.
+	// Engine work counters, deterministic measures of simulator effort.
+	// Like run provenance they stay out of reports, telemetry and
+	// checkpoints, and survive ResetStats. IssueExamined counts the
+	// waiting window entries the issue stage inspected, Ticks the calls
+	// to Tick, and Settles the bulk applications of skipped cycles'
+	// bookkeeping (Settle).
 	IssueExamined uint64
+	Ticks         uint64
+	Settles       uint64
 }
 
 // New builds a core for node id using hierarchy mem and lock manager locks.
@@ -363,9 +370,18 @@ func (c *Core) SwitchTo(ctx *Context) {
 // transaction's conflict detection: a coherence invalidation hitting the
 // read/write set is a conflict abort, a local eviction a capacity abort.
 func (c *Core) onInvalidation(lineAddr uint64, eviction bool) {
-	// Only the speculative implementation issues speculative loads, so the
-	// window walk is skipped under every other one.
-	if c.cfg.ConsistencyOpts == config.ImplSpeculative {
+	// Only the speculative implementation issues speculative loads and
+	// only a running transaction tracks a read/write set; everything else
+	// ignores the hook. (A core with no context has an empty window.)
+	spec := c.cfg.ConsistencyOpts == config.ImplSpeculative
+	if c.ctx == nil || !spec && c.ctx.tx == nil {
+		return
+	}
+	// Account this core's skipped cycles first, so a violation or abort
+	// lands on exactly the state (and nowCycle) of a core that was
+	// fast-forwarded cycle by cycle.
+	c.Settle()
+	if spec {
 		for seq := c.headSeq; seq < c.tailSeq; seq++ {
 			i := seq & c.robMask
 			if c.rFlags[i]&(fSpecLoad|fViolated) == fSpecLoad &&
@@ -378,7 +394,7 @@ func (c *Core) onInvalidation(lineAddr uint64, eviction bool) {
 			}
 		}
 	}
-	if c.ctx != nil && c.ctx.tx != nil && c.ctx.tx.OnInvalidation(lineAddr, eviction) {
+	if c.ctx.tx != nil && c.ctx.tx.OnInvalidation(lineAddr, eviction) {
 		c.htmAborted(c.ctx.tx, lineAddr)
 		c.poked = true
 	}
@@ -393,8 +409,10 @@ func (c *Core) TakePoked() bool {
 	return p
 }
 
-// Tick advances the core by one cycle.
+// Tick advances the core by one cycle. Skipped cycles must be settled
+// first.
 func (c *Core) Tick(now uint64) {
+	c.Ticks++
 	if c.ctx == nil {
 		return
 	}

@@ -29,7 +29,7 @@ type LockProber interface {
 // component. Any cycle t with now < t < NextEvent(now) is provably a
 // steady cycle: Tick(t) would mutate no machine state, perform no memory
 // access, and charge exactly the same stall category as Tick(NextEvent-1)
-// — which is what lets core.Run bulk-apply the span with FastForward.
+// — which is what lets core.Run skip the span and Settle it in bulk later.
 //
 // The bound is deliberately conservative (early wakes are always safe):
 // every in-flight completion time is treated as an event even when it
@@ -172,7 +172,7 @@ func (c *Core) retireNextEvent(now uint64) uint64 {
 			// Spinning. Steady only once the first failing TryAcquire has
 			// run (waited set: LockWaits and the tracer's contention window
 			// are already open); after that every spin cycle repeats the
-			// same counter bumps, which FastForward applies in bulk.
+			// same counter bumps, which Settle applies in bulk.
 			if c.rFlags[i]&fWaited == 0 || c.prober == nil {
 				return now + 1
 			}
@@ -489,7 +489,7 @@ func (c *Core) steadyStall(t uint64) (stats.Category, uint64, bool) {
 // ok is false when fetchStage would leave the flag untouched. The write is
 // the one piece of state a gated fetch stage still mutates per cycle; it
 // feeds the next cycle's empty-window charge category (Instr vs CPUStall),
-// so FastForward must replay it.
+// so fastForward must replay it.
 func (c *Core) fetchStallWrite(now uint64) (val, ok bool) {
 	if c.pendingSys || c.streamEnded {
 		return false, false
@@ -513,13 +513,39 @@ func (c *Core) fetchStallWrite(now uint64) (val, ok bool) {
 	return false, false // live fetch never yields a steady span
 }
 
-// FastForward bulk-applies the per-cycle bookkeeping of the steady cycles
+// Defer records that the run loop skipped cycles [from, to] on this core
+// (each proven steady by a NextEvent bound) without applying their
+// bookkeeping; Settle applies it. The owed cycles stay one contiguous
+// span because every path that acts on the core settles first.
+func (c *Core) Defer(from, to uint64) {
+	if c.owedFrom == 0 {
+		c.owedFrom = from
+	}
+	c.owedTo = to
+}
+
+// Settle applies the bookkeeping of the deferred cycles in one bulk step
+// and returns their span, so the caller can settle the scheduler slot over
+// the same cycles (ok is false when nothing was owed). Splitting a steady
+// span at any settle point yields the same state as applying it whole.
+func (c *Core) Settle() (from, to uint64, ok bool) {
+	if c.owedFrom == 0 {
+		return 0, 0, false
+	}
+	from, to = c.owedFrom, c.owedTo
+	c.owedFrom = 0
+	c.Settles++
+	c.fastForward(from, to)
+	return from, to, true
+}
+
+// fastForward bulk-applies the per-cycle bookkeeping of the steady cycles
 // [from, to] (inclusive), which core.Run has proven event-free via
 // NextEvent: the occupancy histogram bump, the full-width stall charge,
 // the spin counters, the gated fetch stage's stallInstr write, and the
 // tracer's coalesced stall span — each bit-identical to ticking the core
 // through every cycle.
-func (c *Core) FastForward(from, to uint64) {
+func (c *Core) fastForward(from, to uint64) {
 	if c.ctx == nil {
 		return
 	}

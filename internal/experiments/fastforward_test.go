@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -16,6 +18,8 @@ import (
 // to the same run ticking every cycle — the full Report (every float64 of
 // the breakdown, every histogram bucket), the telemetry JSONL byte
 // stream, and the exported trace. Each test runs both arms and compares.
+// The arms cover both workloads, every latch policy, fault injection,
+// tracing and mid-run checkpoint captures.
 
 // ffScale is small enough to keep the suite fast but long enough to cross
 // several telemetry intervals, context switches, lock contention, and the
@@ -33,21 +37,40 @@ type nopWriteCloser struct{ *bytes.Buffer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// ffRun is one arm of an equivalence test: run the workload with the
-// given fast-forward setting, capturing the report, the telemetry JSONL
-// bytes, and (when traced) the exported Chrome trace bytes.
+// ffCase selects one equivalence scenario: the workload, its latch
+// policy and fault profile, and the observers attached to the run.
+type ffCase struct {
+	oltp         bool
+	latch        config.LatchPolicy
+	faults       config.FaultConfig
+	traced       bool
+	checkpointed bool // periodic mid-run captures (each one a settle point)
+}
+
+// ffCheckpointInterval is deliberately not a multiple of the 50 000-cycle
+// telemetry interval, so most captures settle cores on their own rather
+// than right after a sample did.
+const ffCheckpointInterval = 170_000
+
+// ffResult is one arm's output: the report, the telemetry JSONL bytes,
+// (when traced) the exported Chrome trace bytes and aggregates, and (when
+// checkpointed) the last captured machine state.
 type ffResult struct {
 	rep      *stats.Report
 	jsonl    []byte
 	trace    []byte
 	analysis *tracing.Analysis
+	ckpt     *core.MachineState
 }
 
-func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, disableFF bool) ffResult {
+// ffRun is one arm of an equivalence test: run the case with the given
+// fast-forward setting.
+func ffRun(t *testing.T, c ffCase, disableFF bool) ffResult {
 	t.Helper()
 	sc := ffScale()
 	sc.DisableFastForward = disableFF
-	sc.Faults = faults
+	sc.Faults = c.faults
+	sc.LatchPolicy = c.latch
 
 	var jsonl bytes.Buffer
 	sc.Telemetry = func(label string) *telemetry.Pipeline {
@@ -56,15 +79,22 @@ func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, d
 		return pipe
 	}
 	var trc *tracing.Tracer
-	if traced {
+	if c.traced {
 		trc = tracing.New(tracing.Options{})
 		sc.Tracer = trc
+	}
+	var ckPath string
+	if c.checkpointed {
+		ckPath = filepath.Join(t.TempDir(), "ff.ckpt")
+		sc.Checkpoint = func(label string) *core.CheckpointOptions {
+			return &core.CheckpointOptions{Path: ckPath, Interval: ffCheckpointInterval}
+		}
 	}
 
 	cfg := config.Default()
 	var rep *stats.Report
 	var err error
-	if oltpWorkload {
+	if c.oltp {
 		rep, err = RunOLTP(cfg, sc, "ff-equivalence", 0)
 	} else {
 		rep, err = RunDSS(cfg, sc, "ff-equivalence")
@@ -73,7 +103,7 @@ func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, d
 		t.Fatal(err)
 	}
 	res := ffResult{rep: rep, jsonl: jsonl.Bytes()}
-	if traced {
+	if c.traced {
 		var buf bytes.Buffer
 		if err := trc.WriteChrome(&buf); err != nil {
 			t.Fatal(err)
@@ -81,7 +111,28 @@ func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, d
 		res.trace = buf.Bytes()
 		res.analysis = trc.Analysis()
 	}
+	if c.checkpointed {
+		if res.ckpt, err = core.LoadCheckpoint(ckPath, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return res
+}
+
+// testFFEquivalence runs both arms of c and requires identical output.
+func testFFEquivalence(t *testing.T, c ffCase) {
+	t.Helper()
+	on := ffRun(t, c, false)
+	off := ffRun(t, c, true)
+	assertIdentical(t, on, off)
+	if on.rep.Instructions == 0 {
+		t.Fatal("degenerate run: no instructions retired")
+	}
+	if c.traced {
+		if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
+			t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
+		}
+	}
 }
 
 func assertIdentical(t *testing.T, on, off ffResult) {
@@ -104,28 +155,43 @@ func assertIdentical(t *testing.T, on, off ffResult) {
 	if !bytes.Equal(on.trace, off.trace) {
 		t.Errorf("exported traces differ (%d vs %d bytes)", len(on.trace), len(off.trace))
 	}
-}
-
-func TestFastForwardEquivalenceOLTP(t *testing.T) {
-	on := ffRun(t, true, false, config.FaultConfig{}, false)
-	off := ffRun(t, true, false, config.FaultConfig{}, true)
-	assertIdentical(t, on, off)
-	if on.rep.Instructions == 0 {
-		t.Fatal("degenerate run: no instructions retired")
+	if !reflect.DeepEqual(on.ckpt, off.ckpt) {
+		t.Errorf("last captured machine states differ")
 	}
 }
 
+func TestFastForwardEquivalenceOLTP(t *testing.T) {
+	testFFEquivalence(t, ffCase{oltp: true})
+}
+
 func TestFastForwardEquivalenceDSS(t *testing.T) {
-	on := ffRun(t, false, false, config.FaultConfig{}, false)
-	off := ffRun(t, false, false, config.FaultConfig{}, true)
-	assertIdentical(t, on, off)
+	testFFEquivalence(t, ffCase{})
+}
+
+// The latch policies change what a stalled core waits on: hints adds
+// flushes behind releases, htm elides the latch and aborts on
+// invalidations (a settle point of its own).
+func TestFastForwardEquivalenceOLTPHints(t *testing.T) {
+	testFFEquivalence(t, ffCase{oltp: true, latch: config.LatchHints})
+}
+
+func TestFastForwardEquivalenceOLTPHTM(t *testing.T) {
+	testFFEquivalence(t, ffCase{oltp: true, latch: config.LatchHTM})
+}
+
+func TestFastForwardEquivalenceDSSHints(t *testing.T) {
+	testFFEquivalence(t, ffCase{latch: config.LatchHints})
+}
+
+func TestFastForwardEquivalenceDSSHTM(t *testing.T) {
+	testFFEquivalence(t, ffCase{latch: config.LatchHTM})
 }
 
 // TestFastForwardEquivalenceFaults injects the deterministic timing-fault
 // profile: NACK/retry storms and stretched latencies reshape exactly the
 // idle spans fast-forward skips.
 func TestFastForwardEquivalenceFaults(t *testing.T) {
-	f := config.FaultConfig{
+	testFFEquivalence(t, ffCase{oltp: true, faults: config.FaultConfig{
 		Enabled:        true,
 		Seed:           42,
 		MeshDelayProb:  0.05,
@@ -135,20 +201,21 @@ func TestFastForwardEquivalenceFaults(t *testing.T) {
 		NACKBackoff:    20,
 		MemStallProb:   0.05,
 		MemStallCycles: 60,
-	}
-	on := ffRun(t, true, false, f, false)
-	off := ffRun(t, true, false, f, true)
-	assertIdentical(t, on, off)
+	}})
 }
 
 // TestFastForwardEquivalenceTraced runs with the event tracer attached:
 // the bulk-applied stall spans and lock-contention windows must yield a
 // byte-identical export and identical aggregates.
 func TestFastForwardEquivalenceTraced(t *testing.T) {
-	on := ffRun(t, true, true, config.FaultConfig{}, false)
-	off := ffRun(t, true, true, config.FaultConfig{}, true)
-	assertIdentical(t, on, off)
-	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
-		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
-	}
+	testFFEquivalence(t, ffCase{oltp: true, traced: true})
+}
+
+// TestFastForwardEquivalenceCheckpointed captures mid-run checkpoints in
+// both arms. A capture settles every core's skipped cycles and caps the
+// quiet spans, so the fast-forwarded run is split at each boundary and
+// must still match ticking every cycle — and so must the last captured
+// machine state.
+func TestFastForwardEquivalenceCheckpointed(t *testing.T) {
+	testFFEquivalence(t, ffCase{checkpointed: true})
 }

@@ -106,10 +106,10 @@ func (s *Scheduler) NextEvent(cpuID int, core *cpu.Core, now uint64) uint64 {
 }
 
 // FastForward bulk-applies the per-cycle idle/switch accounting for the
-// steady cycles [from, to] (inclusive), which core.Run has proven
-// event-free via NextEvent: every cycle t in the span would have counted
-// SwitchCycles (t < switchAt) or IdleCycles (otherwise), with no queue or
-// core mutation.
+// steady cycles [from, to] (inclusive), which core.Run skipped under a
+// NextEvent bound and is now settling: every cycle t in the span would
+// have counted SwitchCycles (t < switchAt) or IdleCycles (otherwise), with
+// no queue or core mutation.
 func (s *Scheduler) FastForward(cpuID int, core *cpu.Core, from, to uint64) {
 	if core.Context() != nil {
 		return

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # benchdiff.sh — track raw simulator throughput.
 #
-# Runs BenchmarkSimulatorOLTP/DSS and their Parallel arms (the epoch-
-# parallel engine at SimThreads=4) — COUNT repetitions each, default 3,
+# Runs BenchmarkSimulatorOLTP/DSS — COUNT repetitions each, default 3,
 # medians taken — and rewrites BENCH_SIMULATOR.json with ns/op,
 # allocs/op and sim_Minstr/s per benchmark. The previous file's numbers are
 # carried into a "previous" block, so the committed JSON always records the
@@ -30,7 +29,7 @@ elif [ $# -gt 0 ]; then
 fi
 
 echo "running simulator benchmarks ($COUNT repetitions)..." >&2
-out=$(go test -run '^$' -bench 'BenchmarkSimulator(OLTP|DSS)(Parallel)?$' -benchmem -benchtime=1x -count="$COUNT" .)
+out=$(go test -run '^$' -bench 'BenchmarkSimulator(OLTP|DSS)$' -benchmem -benchtime=1x -count="$COUNT" .)
 printf '%s\n' "$out" >&2
 
 # median BENCH UNIT — median of the value column reported just before UNIT
@@ -54,7 +53,7 @@ committed() {
         }' "$BASEFILE"
 }
 
-benches="BenchmarkSimulatorOLTP BenchmarkSimulatorDSS BenchmarkSimulatorOLTPParallel BenchmarkSimulatorDSSParallel"
+benches="BenchmarkSimulatorOLTP BenchmarkSimulatorDSS"
 for b in $benches; do
     if ! median "$b" "ns/op" >/dev/null; then
         echo "benchdiff: no output for $b" >&2
