@@ -55,33 +55,3 @@ func BenchmarkExtMigProto(b *testing.B) { benchFigure(b, experiments.MigratoryPr
 func BenchmarkExtUniSB(b *testing.B)    { benchFigure(b, experiments.UniStreamBuffer) }
 func BenchmarkExtBTBPf(b *testing.B)    { benchFigure(b, experiments.BTBPrefetch) }
 func BenchmarkExtValidate(b *testing.B) { benchFigure(b, experiments.Validation) }
-
-// BenchmarkSimulatorOLTP measures raw simulator throughput on one OLTP
-// configuration (no sweep).
-func BenchmarkSimulatorOLTP(b *testing.B) {
-	b.ReportAllocs()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := RunOLTP(DefaultConfig(), QuickScale, "bench", HintNone)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr += rep.Instructions
-	}
-	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "sim_Minstr/s")
-}
-
-// BenchmarkSimulatorDSS measures raw simulator throughput on one DSS
-// configuration.
-func BenchmarkSimulatorDSS(b *testing.B) {
-	b.ReportAllocs()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		rep, err := RunDSS(DefaultConfig(), QuickScale, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr += rep.Instructions
-	}
-	b.ReportMetric(float64(instr)/1e6/b.Elapsed().Seconds(), "sim_Minstr/s")
-}

@@ -118,10 +118,6 @@ type CoreState struct {
 	MemInROB   int
 	Waiting    int
 	FenceCount int
-	// ScanFrom is no longer written (the issue scheduler is derived from
-	// the window); the field keeps the payload layout unchanged, and a
-	// value in an older checkpoint is ignored.
-	ScanFrom uint64
 
 	FetchQ      []FQEntryState // logical queue (head compacted to 0)
 	CurLine     uint64

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,265 +9,49 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/tracing"
 )
-
-// The checkpoint golden tests are the tentpole guarantee of mid-run
-// checkpoint/restore: a run interrupted partway and resumed from its
-// checkpoint must finish byte-identical to the same run left alone —
-// the full Report, the telemetry JSONL series, and the exported trace.
-// The matrix covers both workloads under all three latch policies
-// (plain locking, paper-style hints, HTM elision), since each policy
-// exercises a different slice of the serialized machine state.
-
-const ckTestInterval = 50_000 // cycles between captures; several per run at ffScale
-
-// ckArm runs one arm of a checkpoint equivalence test.
-//   - capture != "": checkpoint to that file every ckTestInterval cycles,
-//     canceling the run after interruptAfter captures (0 = run to the end).
-//   - restore != "": resume from that checkpoint file.
-func ckArm(t *testing.T, oltpWorkload bool, cfg config.Config, capture, restore string, interruptAfter int) (ffResult, error) {
-	t.Helper()
-	sc := ffScale()
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(ckTestInterval)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
-	}
-	trc := tracing.New(tracing.Options{})
-	sc.Tracer = trc
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sc.Context = ctx
-	if capture != "" {
-		captures := 0
-		sc.Checkpoint = func(label string) *core.CheckpointOptions {
-			return &core.CheckpointOptions{
-				Path:     capture,
-				Interval: ckTestInterval,
-				SpecHash: "ck-golden-test",
-				OnCapture: func(cycle uint64, path string) {
-					captures++
-					if interruptAfter > 0 && captures == interruptAfter {
-						cancel()
-					}
-				},
-			}
-		}
-	}
-	if restore != "" {
-		sc.Restore = restore
-		sc.RestoreFallback = func(label string, err error) {
-			t.Errorf("restore of %s fell back to from-scratch: %v", restore, err)
-		}
-	}
-
-	var rep *stats.Report
-	var err error
-	if oltpWorkload {
-		rep, err = RunOLTP(cfg, sc, "ck-equivalence", 0)
-	} else {
-		rep, err = RunDSS(cfg, sc, "ck-equivalence")
-	}
-	if err != nil {
-		return ffResult{}, err
-	}
-	res := ffResult{rep: rep, jsonl: jsonl.Bytes()}
-	var buf bytes.Buffer
-	if err := trc.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res.trace = buf.Bytes()
-	res.analysis = trc.Analysis()
-	return res, nil
-}
-
-// ckGolden runs the three arms — uninterrupted baseline, interrupted
-// capture, resumed — and asserts the resumed outputs are byte-identical
-// to the baseline.
-func ckGolden(t *testing.T, oltpWorkload bool, cfg config.Config) {
-	t.Helper()
-	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
-
-	baseline, err := ckArm(t, oltpWorkload, cfg, "", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupt after the second capture; the run dies mid-flight with a
-	// cancellation error and leaves its latest checkpoint behind.
-	if _, err := ckArm(t, oltpWorkload, cfg, ckPath, "", 2); err == nil {
-		t.Fatal("interrupted arm ran to completion; shrink ckTestInterval")
-	}
-	st, err := core.LoadCheckpoint(ckPath, "ck-golden-test")
-	if err != nil {
-		t.Fatalf("loading interrupted checkpoint: %v", err)
-	}
-	if st.Cycle == 0 {
-		t.Fatal("interrupted checkpoint captured at cycle 0")
-	}
-
-	resumed, err := ckArm(t, oltpWorkload, cfg, ckPath, ckPath, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, baseline, resumed)
-	if bt, rt := baseline.analysis.Totals(), resumed.analysis.Totals(); bt != rt {
-		t.Errorf("trace aggregate totals differ:\nbaseline %v\nresumed  %v", bt, rt)
-	}
-	if baseline.rep.Instructions == 0 {
-		t.Fatal("degenerate run: no instructions retired")
-	}
-}
-
-func TestCheckpointByteIdentity(t *testing.T) {
-	for _, w := range []struct {
-		name string
-		oltp bool
-	}{{"OLTP", true}, {"DSS", false}} {
-		for _, pol := range []struct {
-			name   string
-			policy config.LatchPolicy
-		}{
-			{"plain", config.LatchPlain},
-			{"hints", config.LatchHints},
-			{"htm", config.LatchHTM},
-		} {
-			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
-				cfg := config.Default()
-				cfg.LatchPolicy = pol.policy
-				ckGolden(t, w.oltp, cfg)
-			})
-		}
-	}
-}
-
-// ckFallbackBaseline runs the DSS workload plain (no checkpointing, no
-// tracer) under the fallback arms' run label.
-func ckFallbackBaseline(t *testing.T, cfg config.Config) ffResult {
-	t.Helper()
-	sc := ffScale()
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(ckTestInterval)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
-	}
-	rep, err := RunDSS(cfg, sc, "ck-fallback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ffResult{rep: rep, jsonl: jsonl.Bytes()}
-}
 
 // TestCheckpointRestoreFallback: a missing, truncated, corrupted, or
 // spec-mismatched checkpoint must not poison the run — it is rejected
 // with a classified error and the run completes from scratch, matching
-// the baseline byte for byte.
+// the DSS/plain identity cell's production arm byte for byte.
 func TestCheckpointRestoreFallback(t *testing.T) {
-	cfg := config.Default()
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "run.ckpt")
+	t.Parallel()
+	c := cellNamed("DSS/plain")
+	on := get(t, c, "on")
+	valid := get(t, c, "interrupted").image
+	corrupted := append([]byte(nil), valid...)
+	corrupted[len(corrupted)-20] ^= 0xff // flip a payload byte under the hash
 
-	// Untraced baseline under the same run label as the fallback arms
-	// (the label is stamped on every telemetry sample).
-	baseline := ckFallbackBaseline(t, cfg)
-	if _, err := ckArm(t, false, cfg, ckPath, "", 2); err == nil {
-		t.Fatal("interrupted arm ran to completion")
-	}
-	valid, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name    string
-		prep    func(t *testing.T, path string)
-		check   func(err error) bool
-		errName string
+	for _, tc := range []struct {
+		name  string
+		image []byte // nil leaves the file missing
+		spec  string
+		is    func(error) bool
 	}{
-		{
-			name:    "missing",
-			prep:    func(t *testing.T, path string) {},
-			check:   func(err error) bool { return errors.Is(err, os.ErrNotExist) },
-			errName: "fs.ErrNotExist",
-		},
-		{
-			name: "truncated",
-			prep: func(t *testing.T, path string) {
-				if err := os.WriteFile(path, valid[:len(valid)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			check:   checkpoint.IsCorrupt,
-			errName: "checkpoint.ErrCorrupt",
-		},
-		{
-			name: "corrupted",
-			prep: func(t *testing.T, path string) {
-				img := append([]byte(nil), valid...)
-				img[len(img)-20] ^= 0xff // flip a payload byte under the hash
-				if err := os.WriteFile(path, img, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			check:   checkpoint.IsCorrupt,
-			errName: "checkpoint.ErrCorrupt",
-		},
-		{
-			name: "spec-mismatch",
-			prep: func(t *testing.T, path string) {
-				if err := os.WriteFile(path, valid, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			check:   func(err error) bool { return errors.Is(err, core.ErrSpecMismatch) },
-			errName: "core.ErrSpecMismatch",
-		},
-	}
-	for _, tc := range cases {
+		{"missing", nil, "", func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
+		{"truncated", valid[:len(valid)/2], "", checkpoint.IsCorrupt},
+		{"corrupted", corrupted, "", checkpoint.IsCorrupt},
+		{"spec-mismatch", valid, "some-other-spec", func(err error) bool { return errors.Is(err, core.ErrSpecMismatch) }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bad.ckpt")
-			tc.prep(t, path)
-
-			sc := ffScale()
-			var jsonl bytes.Buffer
-			sc.Telemetry = func(label string) *telemetry.Pipeline {
-				pipe := telemetry.New(ckTestInterval)
-				pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-				return pipe
-			}
-			spec := "ck-golden-test"
-			if tc.name == "spec-mismatch" {
-				spec = "some-other-spec"
-			}
-			sc.Checkpoint = func(label string) *core.CheckpointOptions {
-				return &core.CheckpointOptions{
-					Path:     filepath.Join(t.TempDir(), "new.ckpt"),
-					Interval: ckTestInterval,
-					SpecHash: spec,
+			if tc.image != nil {
+				if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
-			sc.Restore = path
-			var fallbackErr error
-			sc.RestoreFallback = func(label string, err error) { fallbackErr = err }
-
-			rep, err := RunDSS(cfg, sc, "ck-fallback")
-			if err != nil {
-				t.Fatal(err)
+			got := simulate(t, c, arm{every: captureEvery, restore: path, spec: tc.spec})
+			if got.err != nil {
+				t.Fatal(got.err)
 			}
-			if fallbackErr == nil {
+			if got.fallback == nil {
 				t.Fatal("restore did not fall back")
 			}
-			if !tc.check(fallbackErr) {
-				t.Errorf("fallback error is not %s: %v", tc.errName, fallbackErr)
+			if !tc.is(got.fallback) {
+				t.Errorf("fallback error is not classified: %v", got.fallback)
 			}
-			got := ffResult{rep: rep, jsonl: jsonl.Bytes()}
-			assertIdentical(t, baseline, got)
+			same(t, on, got, "on", tc.name)
 		})
 	}
 }
@@ -277,7 +59,7 @@ func TestCheckpointRestoreFallback(t *testing.T) {
 // TestCheckpointRequiresFactory: Restore without a Checkpoint factory is
 // a caller error, not a silent from-scratch run.
 func TestCheckpointRequiresFactory(t *testing.T) {
-	sc := ffScale()
+	sc := testScale()
 	sc.Restore = filepath.Join(t.TempDir(), "nope.ckpt")
 	if _, err := RunDSS(config.Default(), sc, "ck-misuse"); err == nil {
 		t.Fatal("Restore without Checkpoint factory did not error")

@@ -7,62 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/runner"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/workload/oltp"
 )
-
-// latchRun is one arm of the latch-policy golden-equivalence test: run a
-// workload with the given machine configuration, capturing the report and
-// the telemetry JSONL byte stream (the same observables the fast-forward
-// equivalence suite compares).
-func latchRun(t *testing.T, oltpWorkload bool, cfg config.Config) ffResult {
-	t.Helper()
-	sc := ffScale()
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(50_000)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
-	}
-	var rep *stats.Report
-	var err error
-	if oltpWorkload {
-		rep, err = RunOLTP(cfg, sc, "latch-equivalence", oltp.HintNone)
-	} else {
-		rep, err = RunDSS(cfg, sc, "latch-equivalence")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ffResult{rep: rep, jsonl: jsonl.Bytes()}
-}
-
-// TestLatchPolicyPlainGolden is the elision-off golden guarantee: a config
-// that selects LatchPolicy=plain explicitly must be byte-identical to the
-// default config on both workloads — the LatchPolicy seam is a verbatim
-// refactor of the pre-elision lock path, so turning the knob to its zero
-// value must be a no-op down to every breakdown float and telemetry byte.
-func TestLatchPolicyPlainGolden(t *testing.T) {
-	for _, w := range []struct {
-		name string
-		oltp bool
-	}{{"OLTP", true}, {"DSS", false}} {
-		t.Run(w.name, func(t *testing.T) {
-			def := latchRun(t, w.oltp, config.Default())
-			cfg := config.Default()
-			cfg.LatchPolicy = config.LatchPlain
-			explicit := latchRun(t, w.oltp, cfg)
-			assertIdentical(t, def, explicit)
-			if def.rep.HTMBegins != 0 || def.rep.HTMCommits != 0 || def.rep.HTMAborts() != 0 {
-				t.Errorf("plain policy leaked HTM activity: %+v", def.rep)
-			}
-			if w.oltp && def.rep.LatchAcquires == 0 {
-				t.Error("OLTP run recorded no latch acquires")
-			}
-		})
-	}
-}
 
 // TestLatchPolicySpecHash: the new latch_policy spec field must react to
 // the sweep axis without disturbing the identity of pre-elision specs
@@ -88,7 +33,10 @@ func TestLatchPolicySpecHash(t *testing.T) {
 // checks the arms behave like their policies: elision arms speculate,
 // plain arms do not, and the stall-attribution table reconciles.
 func TestLatchElisionExperiment(t *testing.T) {
-	res, err := LatchElision(ffScale())
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	res, err := LatchElision(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +70,10 @@ func TestLatchElisionExperiment(t *testing.T) {
 // 1-line bound must see at least as many capacity aborts as a 32-line
 // bound, and widening the bound must not lose commits.
 func TestLatchCapacityExperiment(t *testing.T) {
-	res, err := LatchCapacity(ffScale())
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	res, err := LatchCapacity(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}

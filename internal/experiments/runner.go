@@ -16,6 +16,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/workload/dss"
 	"repro/internal/workload/oltp"
@@ -186,62 +187,16 @@ var QuickScale = Scale{
 
 // RunOLTP simulates the OLTP workload on machine cfg and returns the report.
 func RunOLTP(cfg config.Config, sc Scale, label string, hints oltp.HintLevel) (*stats.Report, error) {
-	if sc.Faults.Enabled {
-		cfg.Faults = sc.Faults
-	}
-	if sc.LatchPolicy != config.LatchPlain {
-		cfg.LatchPolicy = sc.LatchPolicy
-	}
+	cfg = sc.overlay(cfg)
 	wcfg := oltp.DefaultConfig(cfg.Nodes)
 	wcfg.TransactionsPerProcess = sc.OLTPTransactions + sc.OLTPWarmupTx
 	wcfg.Hints = hints
 	w := oltp.New(wcfg)
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < wcfg.Processes; p++ {
-		sys.AddProcess(p%cfg.Nodes, w.Stream(p))
-	}
-	pipe := sc.pipelineFor(label)
-	if pipe != nil {
-		pipe.SetTag("workload", "oltp")
-		pipe.SetTag("label", label)
-		pipe.RegisterProbe("txns_committed", func() uint64 { return w.Transactions })
-		defer func() { _ = pipe.Close() }()
-	}
-	if sc.Tracer != nil {
-		sc.Tracer.SetResolver(w.Resolve)
-	}
-	ck := sc.checkpointFor(label)
-	if ck != nil {
-		w.EnableCheckpointing()
-	}
-	resume, err := sc.resumeState(label, ck, w)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: OLTP %q: %w", label, err)
-	}
 	warmup := uint64(sc.OLTPWarmupTx) * uint64(wcfg.Processes) * w.ApproxInstrPerTx()
-	opt := core.RunOptions{
-		Label:              label,
-		WarmupInstructions: warmup,
-		MaxCycles:          sc.MaxCycles,
-		Context:            sc.Context,
-		WatchdogWindow:     sc.WatchdogWindow,
-		DisableWatchdog:    sc.DisableWatchdog,
-		Telemetry:          pipe,
-		Tracer:             sc.Tracer,
-		DisableFastForward: sc.DisableFastForward,
-		Checkpoint:         ck,
-	}
-	var rep *stats.Report
-	if resume != nil {
-		rep, err = sys.RestoreAndRun(opt, resume)
-	} else {
-		rep, err = sys.Run(opt)
-	}
+	rep, err := sc.run(cfg, label, "oltp", w, wcfg.Processes, warmup,
+		"txns_committed", func() uint64 { return w.Transactions })
 	if err != nil {
-		return rep, fmt.Errorf("experiments: OLTP %q: %w", label, err)
+		return rep, err
 	}
 	if err := w.Err(); err != nil {
 		return rep, fmt.Errorf("experiments: OLTP %q: workload failed: %w", label, err)
@@ -254,27 +209,54 @@ func RunOLTP(cfg config.Config, sc Scale, label string, hints oltp.HintLevel) (*
 
 // RunDSS simulates the DSS workload on machine cfg and returns the report.
 func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
+	cfg = sc.overlay(cfg)
+	wcfg := dss.DefaultConfig(cfg.Nodes)
+	wcfg.RowsPerProcess = sc.DSSRows
+	w := dss.New(wcfg)
+	// Warm up over the first ~30% of the scan (one pass of the per-process
+	// work area through the L2).
+	warmup := uint64(wcfg.Processes) * w.ApproxInstrPerProcess() * 3 / 10
+	return sc.run(cfg, label, "dss", w, wcfg.Processes, warmup,
+		"rows_scanned", func() uint64 { return w.RowsScanned })
+}
+
+// overlay applies the scale's fault profile and latch policy to cfg.
+func (sc *Scale) overlay(cfg config.Config) config.Config {
 	if sc.Faults.Enabled {
 		cfg.Faults = sc.Faults
 	}
 	if sc.LatchPolicy != config.LatchPlain {
 		cfg.LatchPolicy = sc.LatchPolicy
 	}
-	wcfg := dss.DefaultConfig(cfg.Nodes)
-	wcfg.RowsPerProcess = sc.DSSRows
-	w := dss.New(wcfg)
+	return cfg
+}
+
+// simWorkload is what the shared run body needs of a workload.
+type simWorkload interface {
+	core.WorkloadCheckpointer
+	Stream(proc int) trace.Stream
+	Resolve(pc uint64) (string, bool)
+	EnableCheckpointing()
+}
+
+// run is the body RunOLTP and RunDSS share: it builds the machine with
+// one process per stream, attaches the scale's observers (telemetry with
+// the workload's progress probe, tracer, checkpoints), resumes from a
+// checkpoint when one is due, and runs to completion.
+func (sc *Scale) run(cfg config.Config, label, kind string, w simWorkload, procs int, warmup uint64,
+	probe string, progress func() uint64) (*stats.Report, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for p := 0; p < wcfg.Processes; p++ {
+	for p := 0; p < procs; p++ {
 		sys.AddProcess(p%cfg.Nodes, w.Stream(p))
 	}
 	pipe := sc.pipelineFor(label)
 	if pipe != nil {
-		pipe.SetTag("workload", "dss")
+		pipe.SetTag("workload", kind)
 		pipe.SetTag("label", label)
-		pipe.RegisterProbe("rows_scanned", func() uint64 { return w.RowsScanned })
+		pipe.RegisterProbe(probe, progress)
 		defer func() { _ = pipe.Close() }()
 	}
 	if sc.Tracer != nil {
@@ -286,11 +268,8 @@ func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
 	}
 	resume, err := sc.resumeState(label, ck, w)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: DSS %q: %w", label, err)
+		return nil, fmt.Errorf("experiments: %s %q: %w", strings.ToUpper(kind), label, err)
 	}
-	// Warm up over the first ~30% of the scan (one pass of the per-process
-	// work area through the L2).
-	warmup := uint64(wcfg.Processes) * w.ApproxInstrPerProcess() * 3 / 10
 	opt := core.RunOptions{
 		Label:              label,
 		WarmupInstructions: warmup,
@@ -310,7 +289,7 @@ func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
 		rep, err = sys.Run(opt)
 	}
 	if err != nil {
-		return rep, fmt.Errorf("experiments: DSS %q: %w", label, err)
+		return rep, fmt.Errorf("experiments: %s %q: %w", strings.ToUpper(kind), label, err)
 	}
 	return rep, nil
 }
